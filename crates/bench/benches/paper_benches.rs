@@ -415,6 +415,23 @@ fn scale_maker_pool(n: u64) -> (defi_lending::MakerProtocol, defi_chain::Ledger,
     (maker, ledger, oracle)
 }
 
+/// Liquidation discovery through the trait into a fresh buffer; returns the
+/// number of opportunities found.
+fn discover(protocol: &mut dyn defi_lending::LendingProtocol, oracle: &PriceOracle) -> usize {
+    let mut opportunities = Vec::new();
+    protocol.liquidatable_into(oracle, &mut opportunities);
+    opportunities.len()
+}
+
+/// The borrower-management pass: count the positions the book's banded
+/// at-risk iterator visits.
+fn count_at_risk(protocol: &mut dyn defi_lending::LendingProtocol, oracle: &PriceOracle) -> usize {
+    let (book, source) = protocol.book();
+    let mut at_risk = 0usize;
+    book.for_each_at_risk(source, oracle, &mut |_| at_risk += 1);
+    at_risk
+}
+
 /// The position work of one engine tick on a fixed-spread platform: accrue,
 /// run the borrower-management pass over the *banded* at-risk iterator,
 /// discover liquidatable positions, and — every `volume_sample_interval`
@@ -431,19 +448,13 @@ fn fixed_spread_tick_work(
     // Borrower-management pass: only at-risk positions (HF below the rescue
     // band or above the releverage band) are read; quiet accounts whose
     // certified envelope holds are skipped without re-valuation.
-    let mut actionable = 0usize;
-    let rescue = Wad::from_f64(defi_lending::RESCUE_BAND_HF);
-    let releverage = Wad::from_f64(defi_lending::RELEVERAGE_BAND_HF);
-    LendingProtocol::for_each_at_risk(protocol, oracle, rescue, releverage, &mut |_position| {
-        actionable += 1;
-    });
+    let actionable = count_at_risk(protocol, oracle);
     // Liquidation discovery.
-    let opportunities = LendingProtocol::liquidatable(protocol, oracle).len();
-    let mut out = actionable + opportunities;
+    let mut out = actionable + discover(protocol, oracle);
     // Periodic volume sampling (Figures 4/9 denominators).
     if block.is_multiple_of(10) {
-        let totals = LendingProtocol::book_totals(protocol, oracle);
-        out += totals.collateral_usd.is_zero() as usize;
+        let (book, source) = protocol.book();
+        out += book.totals(source, oracle).collateral_usd.is_zero() as usize;
     }
     out
 }
@@ -473,7 +484,7 @@ fn bench_positions_scale(c: &mut Criterion) {
             let workers = std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1);
-            protocol.set_book_workers(workers);
+            protocol.book().0.set_workers(workers);
         }
         let mut block = 10u64;
         // Warm: the first flush after pool construction values every account
@@ -494,15 +505,15 @@ fn bench_positions_scale(c: &mut Criterion) {
             |b| {
                 // No price moved and no interest accrued since the last call:
                 // discovery should not rebuild (or allocate) the book.
-                b.iter(|| LendingProtocol::liquidatable(&mut protocol, &oracle).len())
+                b.iter(|| discover(&mut protocol, &oracle))
             },
         );
         // Regression guard (runs in CI quick mode too): a no-op tick must
         // answer from the index, not rescan the book. Warm the cache first —
         // under a bench filter the timed bodies above may not have run.
-        let _ = LendingProtocol::liquidatable(&mut protocol, &oracle);
+        discover(&mut protocol, &oracle);
         let before = protocol.book_stats().revaluations;
-        let _ = LendingProtocol::liquidatable(&mut protocol, &oracle);
+        discover(&mut protocol, &oracle);
         let after = protocol.book_stats().revaluations;
         assert_eq!(
             before,
@@ -550,7 +561,7 @@ fn bench_positions_scale(c: &mut Criterion) {
                 maker_block += 1;
                 let wiggle = 3_430.0 + (maker_block % 9) as f64 * 3.0;
                 maker_oracle.set_price(maker_block, Token::ETH, Wad::from_f64(wiggle));
-                LendingProtocol::liquidatable(&mut maker, &maker_oracle).len()
+                discover(&mut maker, &maker_oracle)
             })
         });
         // Regression guard: CDP discovery must be a range scan — a price
@@ -558,10 +569,10 @@ fn bench_positions_scale(c: &mut Criterion) {
         // the cache (the timed bodies above may be filtered out).
         maker_block += 1;
         maker_oracle.set_price(maker_block, Token::ETH, Wad::from_int(3_500));
-        let _ = LendingProtocol::liquidatable(&mut maker, &maker_oracle);
+        discover(&mut maker, &maker_oracle);
         let before = maker.book_stats().revaluations;
         maker_oracle.set_price(maker_block + 1, Token::ETH, Wad::from_int(3_499));
-        let _ = LendingProtocol::liquidatable(&mut maker, &maker_oracle);
+        discover(&mut maker, &maker_oracle);
         let after = maker.book_stats().revaluations;
         assert_eq!(
             before,
@@ -576,7 +587,7 @@ fn bench_positions_scale(c: &mut Criterion) {
         // Maker discovery are the regression this guards against.
         let stats_before = maker.book_stats();
         maker_oracle.set_price(maker_block + 2, Token::ETH, Wad::from_int(3_430));
-        let _ = LendingProtocol::liquidatable(&mut maker, &maker_oracle);
+        discover(&mut maker, &maker_oracle);
         let stats_after = maker.book_stats();
         let revalued = stats_after.revaluations - stats_before.revaluations;
         let termed = stats_after.term_reprices - stats_before.term_reprices;
@@ -606,13 +617,11 @@ fn bench_band_index(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("band_index");
     group.sample_size(5);
-    let rescue = Wad::from_f64(defi_lending::RESCUE_BAND_HF);
-    let releverage = Wad::from_f64(defi_lending::RELEVERAGE_BAND_HF);
     for n in [1_000u64, 10_000] {
         let (mut protocol, _ledger, mut oracle) = scale_fixed_spread_pool(n);
         // Warm the cache: classify and certify every account once.
-        let _ = LendingProtocol::liquidatable(&mut protocol, &oracle);
-        LendingProtocol::for_each_at_risk(&mut protocol, &oracle, rescue, releverage, &mut |_| {});
+        discover(&mut protocol, &oracle);
+        count_at_risk(&mut protocol, &oracle);
         // Markets are listed at the platform's inception block, so accrual
         // only runs for blocks beyond it.
         let mut block = 7_800_000u64;
@@ -620,15 +629,7 @@ fn bench_band_index(c: &mut Criterion) {
             b.iter(|| {
                 block += 1;
                 LendingProtocol::accrue(&mut protocol, block);
-                let mut at_risk = 0usize;
-                LendingProtocol::for_each_at_risk(
-                    &mut protocol,
-                    &oracle,
-                    rescue,
-                    releverage,
-                    &mut |_| at_risk += 1,
-                );
-                at_risk + LendingProtocol::liquidatable(&mut protocol, &oracle).len()
+                count_at_risk(&mut protocol, &oracle) + discover(&mut protocol, &oracle)
             })
         });
 
@@ -637,11 +638,8 @@ fn bench_band_index(c: &mut Criterion) {
         block += 1;
         LendingProtocol::accrue(&mut protocol, block);
         let before = protocol.book_stats();
-        let mut at_risk = 0usize;
-        LendingProtocol::for_each_at_risk(&mut protocol, &oracle, rescue, releverage, &mut |_| {
-            at_risk += 1
-        });
-        let _ = LendingProtocol::liquidatable(&mut protocol, &oracle);
+        count_at_risk(&mut protocol, &oracle);
+        discover(&mut protocol, &oracle);
         let after = protocol.book_stats();
         let revalued = after.revaluations - before.revaluations;
         assert!(
@@ -660,15 +658,7 @@ fn bench_band_index(c: &mut Criterion) {
                 block += 1;
                 let wiggle = 3_450.0 + (block % 7) as f64 * 2.0;
                 oracle.set_price(block, Token::ETH, Wad::from_f64(wiggle));
-                let mut at_risk = 0usize;
-                LendingProtocol::for_each_at_risk(
-                    &mut protocol,
-                    &oracle,
-                    rescue,
-                    releverage,
-                    &mut |_| at_risk += 1,
-                );
-                at_risk + LendingProtocol::liquidatable(&mut protocol, &oracle).len()
+                count_at_risk(&mut protocol, &oracle) + discover(&mut protocol, &oracle)
             })
         });
     }

@@ -41,9 +41,42 @@ use defi_sim::{
 };
 use defi_types::Platform;
 
+/// Every artefact name `repro` renders, plus `all`.
+const ARTEFACTS: &[&str] = &[
+    "all",
+    "headline",
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "table8",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "auction-stats",
+    "stablecoins",
+    "mitigation",
+    "configs",
+    "case-study",
+];
+
+/// Reject an unrecognised argument with exit code 2 instead of rendering
+/// nothing and exiting 0, which would pass for a clean audit.
+fn reject_argument(kind: &str, arg: &str) -> ! {
+    eprintln!("unknown {kind} '{arg}'");
+    usage()
+}
+
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--smoke] [--seed N] [--json DIR] [--scenario NAME] [--scenario-file PATH]\n             [--list-scenarios] [--check-invariants] [--sweep seeds=N|scenarios] [--workers N]\n             [--timings] [--journal FILE] [--replay FILE] <artefact>...\n       artefacts: all headline table1 table2 table3 table4 table5 table6 table7 table8\n                  fig4 fig5 fig6 fig7 fig8 fig9 auction-stats stablecoins mitigation configs case-study\n       --scenario NAME runs a named catalog scenario (see --list-scenarios); names compose\n                  with '+', e.g. --scenario liquidation-spiral+stablecoin-depeg\n       --scenario-file PATH loads user-defined scenario entries into the catalog\n       --check-invariants attaches the InvariantObserver and fails on any violation\n       --sweep seeds=N runs N seeds through the SweepRunner and prints per-run summaries instead;\n       --sweep scenarios fans the whole scenario catalog across the workers\n       --timings prints each protocol book's per-phase tick-time breakdown after the run\n       --journal FILE records the run's observation stream as a replayable journal\n       --replay FILE renders artefacts from a recorded journal instead of simulating"
+        "usage: repro [--smoke] [--seed N] [--json DIR] [--scenario NAME] [--scenario-file PATH]\n             [--list-scenarios] [--check-invariants] [--sweep seeds=N|scenarios] [--workers N]\n             [--timings] [--journal FILE] [--replay FILE] <artefact>...\n       artefacts: {}\n       --scenario NAME runs a named catalog scenario (see --list-scenarios); names compose\n                  with '+', e.g. --scenario liquidation-spiral+stablecoin-depeg\n       --scenario-file PATH loads user-defined scenario entries into the catalog\n       --check-invariants attaches the InvariantObserver and fails on any violation\n       --sweep seeds=N runs N seeds through the SweepRunner and prints per-run summaries instead;\n       --sweep scenarios fans the whole scenario catalog across the workers\n       --timings prints each protocol book's per-phase tick-time breakdown after the run\n       --journal FILE records the run's observation stream as a replayable journal\n       --replay FILE renders artefacts from a recorded journal instead of simulating",
+        ARTEFACTS.join(" ")
     );
     std::process::exit(2)
 }
@@ -283,8 +316,13 @@ fn main() {
                 workers = Some(value.parse().unwrap_or_else(|_| usage()));
             }
             "--help" | "-h" => usage(),
+            flag if flag.starts_with('-') => reject_argument("flag", flag),
             other => {
-                artefacts.insert(other.to_ascii_lowercase());
+                let name = other.to_ascii_lowercase();
+                if !ARTEFACTS.contains(&name.as_str()) {
+                    reject_argument("artefact", other);
+                }
+                artefacts.insert(name);
             }
         }
     }

@@ -21,7 +21,7 @@
 //!   themselves synced.
 
 use crate::lexer::Tok;
-use crate::scan::{matching, FileMap};
+use crate::scan::{matching, FileMap, StructItem};
 use crate::{walk_left, Finding, Rule};
 
 /// Container methods that mutate an account store.
@@ -40,22 +40,33 @@ pub fn owns_book(map: &FileMap) -> bool {
 }
 
 /// Names of account-store fields: map fields keyed by `Address` on a struct
-/// that also owns the book.
+/// that also owns the book, or on a same-file struct the book owner holds as
+/// a field (the state a protocol keeps beside its book, so the book can read
+/// it while being mutated).
 fn account_stores(map: &FileMap) -> Vec<String> {
+    let address_maps = |s: &StructItem| -> Vec<String> {
+        s.fields
+            .iter()
+            .filter(|f| {
+                f.ty.iter().any(|t| t == "HashMap" || t == "BTreeMap")
+                    && f.ty.iter().any(|t| t == "Address")
+            })
+            .map(|f| f.name.clone())
+            .collect()
+    };
     let mut out = Vec::new();
-    for s in &map.structs {
-        if !s
+    for owner in &map.structs {
+        if !owner
             .fields
             .iter()
             .any(|f| f.ty.iter().any(|t| t == "PositionBook"))
         {
             continue;
         }
-        for f in &s.fields {
-            let is_map = f.ty.iter().any(|t| t == "HashMap" || t == "BTreeMap");
-            let keyed_by_address = f.ty.iter().any(|t| t == "Address");
-            if is_map && keyed_by_address {
-                out.push(f.name.clone());
+        out.extend(address_maps(owner));
+        for field in &owner.fields {
+            for held in map.structs.iter().filter(|s| field.ty.contains(&s.name)) {
+                out.extend(address_maps(held));
             }
         }
     }
@@ -87,15 +98,29 @@ pub fn check_mark_dirty(path: &str, toks: &[Tok], map: &FileMap, findings: &mut 
             continue;
         }
         for i in bs..=be {
-            // `self . <store> . <mut method>`
-            if i + 4 <= be
-                && toks[i].is_ident("self")
-                && toks[i + 1].is_punct('.')
-                && stores.iter().any(|s| toks[i + 2].is_ident(s))
-                && toks[i + 3].is_punct('.')
-                && MUT_METHODS.iter().any(|m| toks[i + 4].is_ident(m))
-            {
-                mutates[fi].get_or_insert_with(|| toks[i + 2].text.clone());
+            // `self . <store> . <mut method>`, or one field hop deeper:
+            // `self . <held> . <store> . <mut method>`.
+            let mutated = |at: usize| {
+                at + 2 <= be
+                    && stores.iter().any(|s| toks[at].is_ident(s))
+                    && toks[at + 1].is_punct('.')
+                    && MUT_METHODS.iter().any(|m| toks[at + 2].is_ident(m))
+            };
+            if i + 2 <= be && toks[i].is_ident("self") && toks[i + 1].is_punct('.') {
+                let store = if mutated(i + 2) {
+                    Some(i + 2)
+                } else if i + 4 <= be
+                    && toks[i + 2].kind == crate::lexer::TokKind::Ident
+                    && toks[i + 3].is_punct('.')
+                    && mutated(i + 4)
+                {
+                    Some(i + 4)
+                } else {
+                    None
+                };
+                if let Some(at) = store {
+                    mutates[fi].get_or_insert_with(|| toks[at].text.clone());
+                }
             }
             if toks[i].is_ident("mark_dirty") && i > 0 && toks[i - 1].is_punct('.') {
                 marks[fi] = true;

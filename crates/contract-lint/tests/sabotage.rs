@@ -36,6 +36,11 @@ fn rejects_missed_mark_dirty() {
 }
 
 #[test]
+fn rejects_missed_mark_dirty_through_held_state() {
+    assert_rejects("missed_mark_dirty_held_state", "dirty-mark");
+}
+
+#[test]
 fn rejects_unconsumed_accrue_moved_bit() {
     assert_rejects("unconsumed_accrue", "dirty-accrue");
 }

@@ -79,11 +79,23 @@
 //! workers with no locks. Determinism is by construction, not by scheduling:
 //! the partition is a function of the address alone, each shard's work is
 //! internally ordered, and queries merge shards in ascending address-range
-//! order — so `book_positions`, `book_totals` and `liquidatable_accounts`
+//! order — so `book_positions`, `totals` and `liquidatable_accounts`
 //! are byte-identical for *any* worker count (proven by the harness's
 //! workers=1 vs workers=N differential). [`PositionBook::snapshot`] freezes
 //! each shard behind its own `Arc` and caches it against a per-shard version
 //! counter, so an unchanged shard is never re-cloned between snapshots.
+//!
+//! # One surface
+//!
+//! Each [`crate::LendingProtocol`] owns one book and keeps its valuation
+//! state in a sibling struct implementing [`BookSource`];
+//! [`LendingProtocol::book`](crate::LendingProtocol::book) hands out the
+//! pair. Every query — [`book_positions`](PositionBook::book_positions),
+//! [`totals`](PositionBook::totals),
+//! [`for_each_at_risk`](PositionBook::for_each_at_risk),
+//! [`snapshot`](PositionBook::snapshot), [`stats`](PositionBook::stats) —
+//! is a method here, generic over `S: BookSource + ?Sized` so it serves the
+//! `&dyn BookSource` of the accessor and a concrete view alike.
 //!
 //! The book is *exact by construction*: a cached entry is byte-identical to a
 //! from-scratch [`Position`] rebuild because the owning protocol's
@@ -582,7 +594,12 @@ impl BookShard {
     /// Fold this shard's share of the pending invalidations into
     /// re-valuations. Runs on a worker thread; touches nothing outside the
     /// shard.
-    fn flush<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle, ctx: &FlushCtx<'_>) {
+    fn flush<S: BookSource + ?Sized>(
+        &mut self,
+        source: &S,
+        oracle: &PriceOracle,
+        ctx: &FlushCtx<'_>,
+    ) {
         if ctx.rewind {
             // The book is being driven by a different (or rewound) oracle
             // instance: nothing can be trusted, re-value everything.
@@ -769,7 +786,7 @@ impl BookShard {
     /// Freshen one lazily stale valuation: a light refresh where the
     /// certified envelope still covers the current state, the full revalue
     /// path otherwise.
-    fn refresh<S: BookSource>(
+    fn refresh<S: BookSource + ?Sized>(
         &mut self,
         source: &S,
         oracle: &PriceOracle,
@@ -799,7 +816,7 @@ impl BookShard {
     ///
     /// Returns `false` (having made no bookkeeping change) when every tier's
     /// precondition fails; the caller then takes the full revalue path.
-    fn light_refresh<S: BookSource>(
+    fn light_refresh<S: BookSource + ?Sized>(
         &mut self,
         source: &S,
         oracle: &PriceOracle,
@@ -953,7 +970,7 @@ impl BookShard {
     }
 
     /// Re-value one account and fold the delta into every derived structure.
-    fn revalue<S: BookSource>(
+    fn revalue<S: BookSource + ?Sized>(
         &mut self,
         source: &S,
         oracle: &PriceOracle,
@@ -1276,7 +1293,7 @@ impl BookShard {
     /// This shard's liquidatable accounts (live set ∪ critical-price range
     /// scans) appended to `out` in address order, with each returned
     /// valuation freshened.
-    fn collect_liquidatable<S: BookSource>(
+    fn collect_liquidatable<S: BookSource + ?Sized>(
         &mut self,
         source: &S,
         oracle: &PriceOracle,
@@ -1330,7 +1347,7 @@ impl BookShard {
     /// Re-valuing cannot change any verdict (same state, same prices), so
     /// shards can freshen concurrently and the serial visit pass that
     /// follows observes exactly what a serial freshen would have produced.
-    fn freshen_at_risk<S: BookSource>(
+    fn freshen_at_risk<S: BookSource + ?Sized>(
         &mut self,
         source: &S,
         oracle: &PriceOracle,
@@ -1355,7 +1372,7 @@ impl BookShard {
 
     /// Visit this shard's at-risk members in address order, freshening each
     /// visited valuation.
-    fn visit_at_risk<S: BookSource>(
+    fn visit_at_risk<S: BookSource + ?Sized>(
         &mut self,
         source: &S,
         oracle: &PriceOracle,
@@ -1503,11 +1520,6 @@ impl PositionBook {
         self.workers = workers.clamp(1, BOOK_SHARD_COUNT);
     }
 
-    /// The configured flush worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     fn shard_mut(&mut self, account: &Address) -> Option<&mut BookShard> {
         self.shards.get_mut(shard_of(account))
     }
@@ -1586,7 +1598,7 @@ impl PositionBook {
     /// shards across the configured worker count. With `full`, also freshen
     /// lazily staled valuations so every cached position is exact at current
     /// prices.
-    fn flush<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle, full: bool) {
+    fn flush<S: BookSource + ?Sized>(&mut self, source: &S, oracle: &PriceOracle, full: bool) {
         let epoch = oracle.epoch();
         let rewind = epoch < self.synced_epoch;
         let mut changed = std::mem::take(&mut self.scratch_changed);
@@ -1684,7 +1696,7 @@ impl PositionBook {
     /// Bring every cached valuation up to date and clone out the observable
     /// book in address order — byte-identical to the legacy from-scratch
     /// rebuild, without re-valuing untouched accounts.
-    pub fn book_positions<S: BookSource>(
+    pub fn book_positions<S: BookSource + ?Sized>(
         &mut self,
         source: &S,
         oracle: &PriceOracle,
@@ -1701,24 +1713,6 @@ impl PositionBook {
             );
         }
         out
-    }
-
-    /// Visit every observable book position in address order without
-    /// allocating a snapshot vector (the engine's borrower-management pass).
-    pub fn for_each_book_position<S: BookSource>(
-        &mut self,
-        source: &S,
-        oracle: &PriceOracle,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        self.flush(source, oracle, true);
-        for shard in &self.shards {
-            for entry in shard.entries.values() {
-                if entry.in_book {
-                    visit(&entry.position);
-                }
-            }
-        }
     }
 
     fn fold_totals(&self) -> Totals {
@@ -1746,7 +1740,11 @@ impl PositionBook {
 
     /// Running totals over the observable book (volume sampling), merged in
     /// fixed shard order.
-    pub fn totals<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle) -> BookTotals {
+    pub fn totals<S: BookSource + ?Sized>(
+        &mut self,
+        source: &S,
+        oracle: &PriceOracle,
+    ) -> BookTotals {
         self.flush(source, oracle, true);
         let totals = self.fold_totals();
         BookTotals {
@@ -1772,7 +1770,11 @@ impl PositionBook {
     /// `Arc`, cached against the shard's version counter, so a shard nothing
     /// touched since the previous call hands out the same allocation
     /// (`Arc::ptr_eq`) instead of re-cloning its entries.
-    pub fn snapshot<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle) -> BookSnapshot {
+    pub fn snapshot<S: BookSource + ?Sized>(
+        &mut self,
+        source: &S,
+        oracle: &PriceOracle,
+    ) -> BookSnapshot {
         self.flush(source, oracle, true);
         let (rescue, releverage) = self.bands;
         let mut shards = Vec::with_capacity(self.shards.len());
@@ -1812,7 +1814,11 @@ impl PositionBook {
 
     /// Running totals over *every* cached account (the protocol-level
     /// `total_collateral_value` / `total_debt_value` surface).
-    pub fn all_totals<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle) -> (Wad, Wad) {
+    pub fn all_totals<S: BookSource + ?Sized>(
+        &mut self,
+        source: &S,
+        oracle: &PriceOracle,
+    ) -> (Wad, Wad) {
         self.flush(source, oracle, true);
         let totals = self.fold_totals();
         (totals.all_collateral_usd, totals.all_debt_usd)
@@ -1824,7 +1830,7 @@ impl PositionBook {
     /// merged in fixed shard order. Does **not** re-value accounts whose
     /// certified state a price move failed to break — the fast path a keeper
     /// loop takes every block.
-    pub fn liquidatable_accounts<S: BookSource>(
+    pub fn liquidatable_accounts<S: BookSource + ?Sized>(
         &mut self,
         source: &S,
         oracle: &PriceOracle,
@@ -1838,29 +1844,24 @@ impl PositionBook {
         out
     }
 
-    /// Visit every *at-risk* observable position — health factor below
-    /// `rescue` (including liquidatable ones) or above `releverage` — in
-    /// address order, with each visited valuation freshened to current
+    /// Visit every *at-risk* observable position — health factor below the
+    /// rescue threshold (including liquidatable ones) or above the
+    /// re-leverage threshold ([`band_thresholds`](Self::band_thresholds)) —
+    /// in address order, with each visited valuation freshened to current
     /// prices and indexes. Quiet-band accounts whose envelope holds are
     /// skipped without re-valuation: this is the banded fast path of the
     /// engine's borrower-management pass, exactly equivalent to filtering a
     /// full book walk by health factor.
     ///
-    /// Changing the thresholds re-classifies the whole book (one-off full
-    /// re-valuation). Books containing critical-price-indexed accounts fall
-    /// back to the exact full walk — indexed accounts keep no HF band.
-    pub fn for_each_at_risk<S: BookSource>(
+    /// Books containing critical-price-indexed accounts fall back to the
+    /// exact full walk — indexed accounts keep no HF band.
+    pub fn for_each_at_risk<S: BookSource + ?Sized>(
         &mut self,
         source: &S,
         oracle: &PriceOracle,
-        rescue: Wad,
-        releverage: Wad,
         visit: &mut dyn FnMut(&Position),
     ) {
-        if (rescue, releverage) != self.bands {
-            self.bands = (rescue, releverage);
-            self.invalidate_all();
-        }
+        let (rescue, releverage) = self.bands;
         self.flush(source, oracle, false);
         if self
             .shards
@@ -2108,12 +2109,9 @@ mod tests {
     fn at_risk_iteration_falls_back_to_exact_for_indexed_books() {
         let (source, mut book, mut oracle) = setup(20);
         oracle.set_price(1, Token::ETH, Wad::from_int(95));
-        let rescue = Wad::from_f64(RESCUE_BAND_HF);
-        let releverage = Wad::from_f64(RELEVERAGE_BAND_HF);
+        let (rescue, releverage) = book.band_thresholds();
         let mut seen = Vec::new();
-        book.for_each_at_risk(&source, &oracle, rescue, releverage, &mut |position| {
-            seen.push(position.owner)
-        });
+        book.for_each_at_risk(&source, &oracle, &mut |position| seen.push(position.owner));
         let expected: Vec<Address> = book
             .book_positions(&source, &oracle)
             .into_iter()

@@ -17,7 +17,7 @@ use defi_core::position::{CollateralHolding, DebtHolding, Position};
 use defi_oracle::PriceOracle;
 use defi_types::{mul_div_floor, Address, BlockNumber, Platform, Token, Wad, WAD};
 
-use crate::book::{BookSource, BookStats, BookTotals, EnvelopeAnchor, HfEnvelope, PositionBook};
+use crate::book::{BookSource, EnvelopeAnchor, HfEnvelope, PositionBook};
 use crate::error::ProtocolError;
 use crate::interest::{utilization, BorrowIndex, InterestRateModel};
 
@@ -151,25 +151,25 @@ pub struct FixedSpreadProtocol {
     config: FixedSpreadConfig,
     /// Ledger account holding the pool's funds.
     pub pool_address: Address,
-    markets: BTreeMap<Token, Market>,
-    accounts: HashMap<Address, Account>,
+    pub(crate) state: PoolState,
     last_liquidation_block: HashMap<Address, BlockNumber>,
     /// Cumulative debt written off by the insurance fund (USD, diagnostics).
     pub insurance_written_off: Wad,
     /// Incremental valuation cache (see [`crate::book`]).
-    book: PositionBook,
+    pub(crate) book: PositionBook,
 }
 
-/// Borrow-view of the pool state handed to the [`PositionBook`]: the book is
-/// a sibling field, so re-valuations read the pool through this view while
-/// the book itself is mutated.
-struct FixedSpreadView<'a> {
+/// The markets and accounts a valuation reads — the [`BookSource`] the
+/// [`PositionBook`] re-values through. It is a sibling of the book, so the
+/// book can read it while being mutated itself.
+#[derive(Debug, Clone)]
+pub(crate) struct PoolState {
     platform: Platform,
-    markets: &'a BTreeMap<Token, Market>,
-    accounts: &'a HashMap<Address, Account>,
+    markets: BTreeMap<Token, Market>,
+    accounts: HashMap<Address, Account>,
 }
 
-impl BookSource for FixedSpreadView<'_> {
+impl BookSource for PoolState {
     fn fill_position(&self, oracle: &PriceOracle, account: Address, slot: &mut Position) -> bool {
         let Some(state) = self.accounts.get(&account) else {
             return false;
@@ -178,7 +178,7 @@ impl BookSource for FixedSpreadView<'_> {
             // The legacy `positions()` rebuild skips emptied accounts.
             return false;
         }
-        fill_position_from(self.platform, self.markets, state, oracle, account, slot)
+        fill_position_from(self.platform, &self.markets, state, oracle, account, slot)
     }
 
     fn in_book(&self, position: &Position) -> bool {
@@ -230,7 +230,7 @@ impl BookSource for FixedSpreadView<'_> {
         anchor: EnvelopeAnchor,
         out: &mut HfEnvelope,
     ) -> bool {
-        derive_hf_envelope(self.markets, oracle, position, floor, ceiling, anchor, out)
+        derive_hf_envelope(&self.markets, oracle, position, floor, ceiling, anchor, out)
     }
 
     fn reprice_position(
@@ -513,25 +513,15 @@ impl FixedSpreadProtocol {
         FixedSpreadProtocol {
             config,
             pool_address,
-            markets: BTreeMap::new(),
-            accounts: HashMap::new(),
+            state: PoolState {
+                platform: config.platform,
+                markets: BTreeMap::new(),
+                accounts: HashMap::new(),
+            },
             last_liquidation_block: HashMap::new(),
             insurance_written_off: Wad::ZERO,
             book: PositionBook::new(),
         }
-    }
-
-    /// Split the pool into its valuation cache and the read-view the cache
-    /// re-values accounts through.
-    fn split_book(&mut self) -> (&mut PositionBook, FixedSpreadView<'_>) {
-        (
-            &mut self.book,
-            FixedSpreadView {
-                platform: self.config.platform,
-                markets: &self.markets,
-                accounts: &self.accounts,
-            },
-        )
     }
 
     /// The protocol configuration.
@@ -561,23 +551,24 @@ impl FixedSpreadProtocol {
         block: BlockNumber,
     ) {
         self.book.invalidate_all();
-        self.markets
+        self.state
+            .markets
             .insert(token, Market::new(token, params, rate_model, block));
     }
 
     /// Listed markets.
     pub fn markets(&self) -> impl Iterator<Item = &Market> {
-        self.markets.values()
+        self.state.markets.values()
     }
 
     /// Look up a market.
     pub fn market(&self, token: Token) -> Option<&Market> {
-        self.markets.get(&token)
+        self.state.markets.get(&token)
     }
 
     /// Risk parameters of a market (protocol close factor + market LT/LS).
     pub fn market_params(&self, token: Token) -> Option<RiskParams> {
-        self.markets.get(&token).map(|m| RiskParams {
+        self.state.markets.get(&token).map(|m| RiskParams {
             liquidation_threshold: m.liquidation_threshold,
             liquidation_spread: m.liquidation_spread,
             close_factor: self.config.close_factor,
@@ -587,7 +578,7 @@ impl FixedSpreadProtocol {
     /// Accrue interest in every market up to `block`. Markets whose borrow
     /// index actually moved invalidate their debtors in the valuation cache.
     pub fn accrue_all(&mut self, block: BlockNumber) {
-        for (token, market) in self.markets.iter_mut() {
+        for (token, market) in self.state.markets.iter_mut() {
             if market.accrue(block) {
                 self.book.note_index_change(*token);
             }
@@ -595,7 +586,8 @@ impl FixedSpreadProtocol {
     }
 
     fn market_mut(&mut self, token: Token) -> Result<&mut Market, ProtocolError> {
-        self.markets
+        self.state
+            .markets
             .get_mut(&token)
             .ok_or(ProtocolError::MarketNotListed(token))
     }
@@ -619,13 +611,14 @@ impl FixedSpreadProtocol {
         token: Token,
         amount: Wad,
     ) -> Result<(), ProtocolError> {
-        if !self.markets.contains_key(&token) {
+        if !self.state.markets.contains_key(&token) {
             return Err(ProtocolError::MarketNotListed(token));
         }
         ledger.transfer(account, self.pool_address, token, amount)?;
         let market = self.market_mut(token)?;
         market.available_liquidity = market.available_liquidity.saturating_add(amount);
         let entry = self
+            .state
             .accounts
             .entry(account)
             .or_default()
@@ -732,6 +725,7 @@ impl FixedSpreadProtocol {
         market.total_scaled_debt = market.total_scaled_debt.saturating_add(scaled);
         market.available_liquidity = market.available_liquidity.saturating_sub(amount);
         let entry = self
+            .state
             .accounts
             .entry(account)
             .or_default()
@@ -803,6 +797,7 @@ impl FixedSpreadProtocol {
 
     fn adjust_collateral(&mut self, account: Address, token: Token, amount: Wad, add: bool) {
         let entry = self
+            .state
             .accounts
             .entry(account)
             .or_default()
@@ -817,14 +812,14 @@ impl FixedSpreadProtocol {
     }
 
     fn reduce_debt(&mut self, account: Address, token: Token, amount: Wad) {
-        let index = match self.markets.get(&token) {
+        let index = match self.state.markets.get(&token) {
             Some(m) => m.index,
             None => return,
         };
         let scaled = index.scale_down(amount);
         let dust = self.config.debt_dust;
         let mut dust_written_off = Wad::ZERO;
-        if let Some(acct) = self.accounts.get_mut(&account) {
+        if let Some(acct) = self.state.accounts.get_mut(&account) {
             if let Some(entry) = acct.scaled_debt.get_mut(&token) {
                 *entry = entry.saturating_sub(scaled);
                 // A full repayment routed through the interest index can
@@ -837,7 +832,7 @@ impl FixedSpreadProtocol {
                 }
             }
         }
-        if let Some(market) = self.markets.get_mut(&token) {
+        if let Some(market) = self.state.markets.get_mut(&token) {
             market.total_scaled_debt = market
                 .total_scaled_debt
                 .saturating_sub(scaled.saturating_add(dust_written_off));
@@ -846,7 +841,8 @@ impl FixedSpreadProtocol {
 
     /// Collateral held by an account in a token (token units).
     pub fn collateral_of(&self, account: Address, token: Token) -> Wad {
-        self.accounts
+        self.state
+            .accounts
             .get(&account)
             .and_then(|a| a.collateral.get(&token))
             .copied()
@@ -856,12 +852,13 @@ impl FixedSpreadProtocol {
     /// Outstanding debt (with accrued interest) of an account in a token.
     pub fn debt_of(&self, account: Address, token: Token) -> Wad {
         let scaled = self
+            .state
             .accounts
             .get(&account)
             .and_then(|a| a.scaled_debt.get(&token))
             .copied()
             .unwrap_or(Wad::ZERO);
-        match self.markets.get(&token) {
+        match self.state.markets.get(&token) {
             Some(market) => market.index.scale_up(scaled),
             None => Wad::ZERO,
         }
@@ -871,11 +868,11 @@ impl FixedSpreadProtocol {
     /// never interacted with the pool. Always computed from scratch — this is
     /// the reference path the incremental book is tested against.
     pub fn position(&self, oracle: &PriceOracle, account: Address) -> Option<Position> {
-        let state = self.accounts.get(&account)?;
+        let state = self.state.accounts.get(&account)?;
         let mut position = Position::new(account);
         fill_position_from(
             self.config.platform,
-            &self.markets,
+            &self.state.markets,
             state,
             oracle,
             account,
@@ -886,9 +883,11 @@ impl FixedSpreadProtocol {
 
     /// Valuation snapshots of every account with a non-empty position,
     /// rebuilt from scratch (the reference path; the engine reads the
-    /// incremental [`cached_book`](FixedSpreadProtocol::cached_book)).
+    /// incremental book through
+    /// [`LendingProtocol::book`](crate::LendingProtocol::book)).
     pub fn positions(&self, oracle: &PriceOracle) -> Vec<Position> {
         let mut addresses: Vec<Address> = self
+            .state
             .accounts
             .iter()
             .filter(|(_, a)| !a.is_empty())
@@ -916,94 +915,6 @@ impl FixedSpreadProtocol {
         self.position(oracle, account)
             .map(|p| p.is_liquidatable())
             .unwrap_or(false)
-    }
-
-    // ------------------------------------------------------- incremental book
-
-    /// The observable book (borrowing accounts) served from the incremental
-    /// cache: only accounts whose inputs changed since the last query
-    /// re-value.
-    pub fn cached_book(&mut self, oracle: &PriceOracle) -> Vec<Position> {
-        let (book, view) = self.split_book();
-        book.book_positions(&view, oracle)
-    }
-
-    /// Visit every observable book position without materialising a snapshot
-    /// vector (the engine's borrower-management pass).
-    pub fn for_each_book_position(
-        &mut self,
-        oracle: &PriceOracle,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        let (book, view) = self.split_book();
-        book.for_each_book_position(&view, oracle, visit);
-    }
-
-    /// Liquidatable accounts with fresh cached snapshots, in address order.
-    pub fn cached_liquidatable_accounts(&mut self, oracle: &PriceOracle) -> Vec<Address> {
-        let (book, view) = self.split_book();
-        book.liquidatable_accounts(&view, oracle)
-    }
-
-    /// Visit the at-risk slice of the book — health factor below `rescue` or
-    /// above `releverage` — through the conservative band index: accounts
-    /// whose certified envelope holds are skipped without re-valuation.
-    /// Exactly equivalent to filtering
-    /// [`for_each_book_position`](FixedSpreadProtocol::for_each_book_position)
-    /// by health factor.
-    pub fn for_each_at_risk(
-        &mut self,
-        oracle: &PriceOracle,
-        rescue: Wad,
-        releverage: Wad,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        let (book, view) = self.split_book();
-        book.for_each_at_risk(&view, oracle, rescue, releverage, visit);
-    }
-
-    /// Running aggregate totals over the observable book (volume sampling).
-    pub fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
-        let (book, view) = self.split_book();
-        book.totals(&view, oracle)
-    }
-
-    /// Freeze the observable book into an immutable, index-carrying
-    /// [`BookSnapshot`](crate::snapshot::BookSnapshot) for concurrent
-    /// readers.
-    pub fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot {
-        let (book, view) = self.split_book();
-        book.snapshot(&view, oracle)
-    }
-
-    /// The cached snapshot of one account (exact after any cached query).
-    pub fn cached_position(&self, account: Address) -> Option<&Position> {
-        self.book.cached_position(account)
-    }
-
-    /// Cache-maintenance counters (scale benchmarks, no-op-tick tests).
-    pub fn book_stats(&self) -> BookStats {
-        self.book.stats()
-    }
-
-    /// Worker threads the book may fan re-valuation across (see
-    /// [`PositionBook::set_workers`]).
-    pub fn set_book_workers(&mut self, workers: usize) {
-        self.book.set_workers(workers);
-    }
-
-    /// Total USD value of collateral deposited in the pool (running total
-    /// maintained by the incremental book).
-    pub fn total_collateral_value(&mut self, oracle: &PriceOracle) -> Wad {
-        let (book, view) = self.split_book();
-        book.all_totals(&view, oracle).0
-    }
-
-    /// Total USD value of outstanding debt (running total maintained by the
-    /// incremental book).
-    pub fn total_debt_value(&mut self, oracle: &PriceOracle) -> Wad {
-        let (book, view) = self.split_book();
-        book.all_totals(&view, oracle).1
     }
 
     // ------------------------------------------------------------- liquidation
@@ -1045,7 +956,7 @@ impl FixedSpreadProtocol {
                 self.book.note_index_change(debt_token);
             }
         }
-        if !self.markets.contains_key(&collateral_token) {
+        if !self.state.markets.contains_key(&collateral_token) {
             return Err(ProtocolError::MarketNotListed(collateral_token));
         }
         if !self.is_liquidatable(oracle, borrower) {
@@ -1081,6 +992,7 @@ impl FixedSpreadProtocol {
         let debt_price = Self::price(oracle, debt_token)?;
         let collateral_price = Self::price(oracle, collateral_token)?;
         let spread = self
+            .state
             .markets
             .get(&collateral_token)
             .map(|m| m.liquidation_spread)
@@ -1180,12 +1092,12 @@ impl FixedSpreadProtocol {
             if let Some(position) = self.position(oracle, address) {
                 written_off = written_off.saturating_add(position.total_debt_value());
             }
-            if let Some(account) = self.accounts.get_mut(&address) {
+            if let Some(account) = self.state.accounts.get_mut(&address) {
                 let debts: Vec<(Token, Wad)> =
                     account.scaled_debt.iter().map(|(t, v)| (*t, *v)).collect();
                 for (token, scaled) in debts {
                     account.scaled_debt.insert(token, Wad::ZERO);
-                    if let Some(market) = self.markets.get_mut(&token) {
+                    if let Some(market) = self.state.markets.get_mut(&token) {
                         market.total_scaled_debt = market.total_scaled_debt.saturating_sub(scaled);
                     }
                 }
@@ -1198,7 +1110,11 @@ impl FixedSpreadProtocol {
 
     /// Number of accounts with a non-empty position (diagnostics).
     pub fn account_count(&self) -> usize {
-        self.accounts.values().filter(|a| !a.is_empty()).count()
+        self.state
+            .accounts
+            .values()
+            .filter(|a| !a.is_empty())
+            .count()
     }
 }
 
@@ -1608,7 +1524,8 @@ mod tests {
         // The lender (collateral only) and the borrower.
         assert_eq!(positions.len(), 2);
         assert_eq!(protocol.account_count(), 2);
-        assert!(protocol.total_collateral_value(&oracle) > Wad::from_int(1_000_000));
+        let (collateral, _) = protocol.book.all_totals(&protocol.state, &oracle);
+        assert!(collateral > Wad::from_int(1_000_000));
         assert_eq!(protocol.liquidatable_accounts(&oracle).len(), 0);
     }
 
@@ -1620,7 +1537,7 @@ mod tests {
         let (mut protocol, mut ledger, mut oracle, mut events) = setup();
         let borrower = paper_borrower(&mut protocol, &mut ledger, &oracle, &mut events);
 
-        let cached = protocol.cached_book(&oracle);
+        let cached = protocol.book.book_positions(&protocol.state, &oracle);
         let scratch: Vec<Position> = protocol
             .positions(&oracle)
             .into_iter()
@@ -1630,21 +1547,26 @@ mod tests {
 
         // No price moved, no op ran, no interest accrued: discovery and the
         // book answer from cache without a single re-valuation.
-        let before = protocol.book_stats().revaluations;
-        assert!(protocol.cached_liquidatable_accounts(&oracle).is_empty());
-        let again = protocol.cached_book(&oracle);
-        assert_eq!(protocol.book_stats().revaluations, before);
+        let before = protocol.book.stats().revaluations;
+        assert!(protocol
+            .book
+            .liquidatable_accounts(&protocol.state, &oracle)
+            .is_empty());
+        let again = protocol.book.book_positions(&protocol.state, &oracle);
+        assert_eq!(protocol.book.stats().revaluations, before);
         assert_eq!(again, cached);
 
         // A crash re-flags exactly what the scratch filter flags…
         oracle.set_price(2, Token::ETH, Wad::from_int(3_300));
-        let cached_flagged = protocol.cached_liquidatable_accounts(&oracle);
+        let cached_flagged = protocol
+            .book
+            .liquidatable_accounts(&protocol.state, &oracle);
         let scratch_flagged = protocol.liquidatable_accounts(&oracle);
         assert_eq!(cached_flagged, scratch_flagged);
         assert_eq!(cached_flagged, vec![borrower]);
 
         // …and the running totals equal the legacy folds.
-        let totals = protocol.book_totals(&oracle);
+        let totals = protocol.book.totals(&protocol.state, &oracle);
         let scratch_book: Vec<Position> = protocol
             .positions(&oracle)
             .into_iter()
@@ -1661,7 +1583,7 @@ mod tests {
             .iter()
             .map(|p| p.total_collateral_value())
             .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-        assert_eq!(protocol.total_collateral_value(&oracle), all);
+        assert_eq!(protocol.book.all_totals(&protocol.state, &oracle).0, all);
     }
 
     /// Re-listing a market replaces risk parameters of existing positions,
@@ -1670,7 +1592,10 @@ mod tests {
     fn relisting_a_market_invalidates_cached_valuations() {
         let (mut protocol, mut ledger, oracle, mut events) = setup();
         let borrower = paper_borrower(&mut protocol, &mut ledger, &oracle, &mut events);
-        assert!(protocol.cached_liquidatable_accounts(&oracle).is_empty());
+        assert!(protocol
+            .book
+            .liquidatable_accounts(&protocol.state, &oracle)
+            .is_empty());
         // Governance tightens the ETH liquidation threshold to 50 %.
         protocol.list_market(
             Token::ETH,
@@ -1678,11 +1603,13 @@ mod tests {
             InterestRateModel::default(),
             0,
         );
-        let cached = protocol.cached_liquidatable_accounts(&oracle);
+        let cached = protocol
+            .book
+            .liquidatable_accounts(&protocol.state, &oracle);
         let scratch = protocol.liquidatable_accounts(&oracle);
         assert_eq!(cached, scratch);
         assert_eq!(cached, vec![borrower]);
-        assert_eq!(protocol.cached_book(&oracle), {
+        assert_eq!(protocol.book.book_positions(&protocol.state, &oracle), {
             let filtered: Vec<Position> = protocol
                 .positions(&oracle)
                 .into_iter()

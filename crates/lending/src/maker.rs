@@ -27,7 +27,7 @@ use defi_core::position::{CollateralHolding, DebtHolding, Position};
 use defi_oracle::PriceOracle;
 use defi_types::{mul_div_ceil, Address, BlockNumber, Platform, Token, Wad, WAD};
 
-use crate::book::{BookSource, BookStats, BookTotals, PositionBook};
+use crate::book::{BookSource, PositionBook};
 use crate::error::ProtocolError;
 
 /// Per-collateral-type ("ilk") risk parameters.
@@ -147,23 +147,25 @@ pub struct AuctionOutcome {
 pub struct MakerProtocol {
     /// Ledger account holding locked collateral and escrowed DAI.
     pub pool_address: Address,
-    ilks: BTreeMap<Token, IlkParams>,
-    cdps: HashMap<Address, Cdp>,
+    pub(crate) vat: Vat,
     auctions: BTreeMap<AuctionId, Auction>,
     auction_params: AuctionParams,
     next_auction_id: AuctionId,
     /// Incremental valuation cache + critical-price liquidation index (see
     /// [`crate::book`]).
-    book: PositionBook,
+    pub(crate) book: PositionBook,
 }
 
-/// Borrow-view of the CDP state handed to the [`PositionBook`].
-struct MakerView<'a> {
-    ilks: &'a BTreeMap<Token, IlkParams>,
-    cdps: &'a HashMap<Address, Cdp>,
+/// The ilks and CDPs a valuation reads (MakerDAO's `vat`) — the
+/// [`BookSource`] the [`PositionBook`] re-values through. It is a sibling of
+/// the book, so the book can read it while being mutated itself.
+#[derive(Debug, Clone)]
+pub(crate) struct Vat {
+    ilks: BTreeMap<Token, IlkParams>,
+    cdps: HashMap<Address, Cdp>,
 }
 
-impl BookSource for MakerView<'_> {
+impl BookSource for Vat {
     fn fill_position(&self, oracle: &PriceOracle, account: Address, slot: &mut Position) -> bool {
         let Some(cdp) = self.cdps.get(&account) else {
             return false;
@@ -286,24 +288,15 @@ impl MakerProtocol {
     pub fn new(auction_params: AuctionParams) -> Self {
         MakerProtocol {
             pool_address: Address::from_label("makerdao-vat"),
-            ilks: BTreeMap::new(),
-            cdps: HashMap::new(),
+            vat: Vat {
+                ilks: BTreeMap::new(),
+                cdps: HashMap::new(),
+            },
             auctions: BTreeMap::new(),
             auction_params,
             next_auction_id: 1,
             book: PositionBook::new(),
         }
-    }
-
-    /// Split into the valuation cache and the read-view it re-values through.
-    fn split_book(&mut self) -> (&mut PositionBook, MakerView<'_>) {
-        (
-            &mut self.book,
-            MakerView {
-                ilks: &self.ilks,
-                cdps: &self.cdps,
-            },
-        )
     }
 
     /// The auction parameters currently in force.
@@ -322,27 +315,27 @@ impl MakerProtocol {
     /// the whole book re-values.
     pub fn list_ilk(&mut self, token: Token, params: IlkParams) {
         self.book.invalidate_all();
-        self.ilks.insert(token, params);
+        self.vat.ilks.insert(token, params);
     }
 
     /// Parameters of an ilk.
     pub fn ilk(&self, token: Token) -> Option<IlkParams> {
-        self.ilks.get(&token).copied()
+        self.vat.ilks.get(&token).copied()
     }
 
     /// The registered collateral types, in deterministic order.
     pub fn ilk_tokens(&self) -> Vec<Token> {
-        self.ilks.keys().copied().collect()
+        self.vat.ilks.keys().copied().collect()
     }
 
     /// The CDP of an owner, if any.
     pub fn cdp(&self, owner: Address) -> Option<&Cdp> {
-        self.cdps.get(&owner)
+        self.vat.cdps.get(&owner)
     }
 
     /// All open CDPs.
     pub fn cdps(&self) -> impl Iterator<Item = &Cdp> {
-        self.cdps.values()
+        self.vat.cdps.values()
     }
 
     /// A running auction by id.
@@ -375,11 +368,11 @@ impl MakerProtocol {
         token: Token,
         amount: Wad,
     ) -> Result<(), ProtocolError> {
-        if !self.ilks.contains_key(&token) {
+        if !self.vat.ilks.contains_key(&token) {
             return Err(ProtocolError::MarketNotListed(token));
         }
         ledger.transfer(owner, self.pool_address, token, amount)?;
-        let cdp = self.cdps.entry(owner).or_insert(Cdp {
+        let cdp = self.vat.cdps.entry(owner).or_insert(Cdp {
             owner,
             collateral_token: token,
             collateral: Wad::ZERO,
@@ -411,10 +404,12 @@ impl MakerProtocol {
         amount: Wad,
     ) -> Result<(), ProtocolError> {
         let cdp = self
+            .vat
             .cdps
             .get(&owner)
             .ok_or(ProtocolError::UnknownCdp(owner))?;
         let ilk = self
+            .vat
             .ilks
             .get(&cdp.collateral_token)
             .copied()
@@ -438,7 +433,8 @@ impl MakerProtocol {
         }
         // Mint DAI to the owner.
         ledger.mint(owner, Token::DAI, amount);
-        self.cdps
+        self.vat
+            .cdps
             .get_mut(&owner)
             .ok_or(ProtocolError::UnknownCdp(owner))?
             .debt = new_debt;
@@ -462,6 +458,7 @@ impl MakerProtocol {
         amount: Wad,
     ) -> Result<Wad, ProtocolError> {
         let cdp = self
+            .vat
             .cdps
             .get_mut(&owner)
             .ok_or(ProtocolError::UnknownCdp(owner))?;
@@ -493,6 +490,7 @@ impl MakerProtocol {
         amount: Wad,
     ) -> Result<(), ProtocolError> {
         let cdp = self
+            .vat
             .cdps
             .get(&owner)
             .ok_or(ProtocolError::UnknownCdp(owner))?;
@@ -500,6 +498,7 @@ impl MakerProtocol {
             return Err(ProtocolError::NoCollateralInToken(cdp.collateral_token));
         }
         let ilk = self
+            .vat
             .ilks
             .get(&cdp.collateral_token)
             .copied()
@@ -519,7 +518,8 @@ impl MakerProtocol {
         }
         let token = cdp.collateral_token;
         ledger.transfer(self.pool_address, owner, token, amount)?;
-        self.cdps
+        self.vat
+            .cdps
             .get_mut(&owner)
             .ok_or(ProtocolError::UnknownCdp(owner))?
             .collateral -= amount;
@@ -529,13 +529,13 @@ impl MakerProtocol {
 
     /// Whether a CDP is eligible for liquidation at current prices.
     pub fn is_liquidatable(&self, oracle: &PriceOracle, owner: Address) -> bool {
-        let Some(cdp) = self.cdps.get(&owner) else {
+        let Some(cdp) = self.vat.cdps.get(&owner) else {
             return false;
         };
         if cdp.debt.is_zero() {
             return false;
         }
-        let Some(ilk) = self.ilks.get(&cdp.collateral_token) else {
+        let Some(ilk) = self.vat.ilks.get(&cdp.collateral_token) else {
             return false;
         };
         let Some(price) = oracle.price(cdp.collateral_token) else {
@@ -555,6 +555,7 @@ impl MakerProtocol {
     /// that simulation runs are reproducible.
     pub fn liquidatable_cdps(&self, oracle: &PriceOracle) -> Vec<Address> {
         let mut owners: Vec<Address> = self
+            .vat
             .cdps
             .keys()
             .copied()
@@ -569,102 +570,23 @@ impl MakerProtocol {
     /// CDP liquidation condition). Always computed from scratch — the
     /// reference path the incremental book is tested against.
     pub fn position(&self, oracle: &PriceOracle, owner: Address) -> Option<Position> {
-        let cdp = self.cdps.get(&owner)?;
-        let ilk = self.ilks.get(&cdp.collateral_token)?;
+        let cdp = self.vat.cdps.get(&owner)?;
+        let ilk = self.vat.ilks.get(&cdp.collateral_token)?;
         let mut position = Position::new(owner);
         fill_cdp_position(cdp, ilk, oracle, owner, &mut position).then_some(position)
     }
 
     /// Valuation snapshots of all CDPs, rebuilt from scratch (the reference
-    /// path; the engine reads the incremental
-    /// [`cached_book`](MakerProtocol::cached_book)).
+    /// path; the engine reads the incremental book through
+    /// [`LendingProtocol::book`](crate::LendingProtocol::book)).
     pub fn positions(&self, oracle: &PriceOracle) -> Vec<Position> {
-        let mut owners: Vec<Address> = self.cdps.keys().copied().collect();
+        let mut owners: Vec<Address> = self.vat.cdps.keys().copied().collect();
         owners.sort();
         owners
             .into_iter()
             .filter_map(|o| self.position(oracle, o))
             .filter(|p| !p.collateral.is_empty() || !p.debt.is_empty())
             .collect()
-    }
-
-    // ------------------------------------------------------- incremental book
-
-    /// All open CDPs served from the incremental cache.
-    pub fn cached_book(&mut self, oracle: &PriceOracle) -> Vec<Position> {
-        let (book, view) = self.split_book();
-        book.book_positions(&view, oracle)
-    }
-
-    /// Visit every open CDP without materialising a snapshot vector.
-    pub fn for_each_book_position(
-        &mut self,
-        oracle: &PriceOracle,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        let (book, view) = self.split_book();
-        book.for_each_book_position(&view, oracle, visit);
-    }
-
-    /// CDPs eligible for liquidation via the critical-price index: a range
-    /// scan over each collateral token's ordered threshold map instead of a
-    /// full-book filter. Exact — the thresholds replicate the bite condition
-    /// in the same fixed-point arithmetic — and re-values only the accounts
-    /// it returns.
-    pub fn cached_liquidatable_cdps(&mut self, oracle: &PriceOracle) -> Vec<Address> {
-        let candidates = {
-            let (book, view) = self.split_book();
-            book.liquidatable_accounts(&view, oracle)
-        };
-        // Belt and braces: re-check candidates through the reference bite
-        // condition so a threshold-map bug can only ever hide an account,
-        // never invent one. The two agree everywhere except when
-        // `collateral × price` overflows u128 fixed-point — a collateral
-        // valuation beyond ~3.4·10²⁰ USD, five orders of magnitude past the
-        // 10¹⁵-USD sanity ceiling the invariant observer already rejects as
-        // saturated arithmetic — so within the suite's representable domain
-        // the cached surface is exact.
-        candidates
-            .into_iter()
-            .filter(|owner| self.is_liquidatable(oracle, *owner))
-            .collect()
-    }
-
-    /// Running aggregate totals over the CDP book (volume sampling).
-    pub fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
-        let (book, view) = self.split_book();
-        book.totals(&view, oracle)
-    }
-
-    /// Freeze the CDP book into an immutable, index-carrying
-    /// [`BookSnapshot`](crate::snapshot::BookSnapshot) for concurrent
-    /// readers.
-    pub fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot {
-        let (book, view) = self.split_book();
-        book.snapshot(&view, oracle)
-    }
-
-    /// The cached snapshot of one CDP (exact after any cached query).
-    pub fn cached_position(&self, owner: Address) -> Option<&Position> {
-        self.book.cached_position(owner)
-    }
-
-    /// Cache-maintenance counters (scale benchmarks, no-op-tick tests).
-    pub fn book_stats(&self) -> BookStats {
-        self.book.stats()
-    }
-
-    /// Worker threads the book may fan re-valuation across (see
-    /// [`PositionBook::set_workers`]).
-    pub fn set_book_workers(&mut self, workers: usize) {
-        self.book.set_workers(workers);
-    }
-
-    /// Total USD value of locked collateral (running total maintained by the
-    /// incremental book).
-    pub fn total_collateral_value(&mut self, oracle: &PriceOracle) -> Wad {
-        let (book, view) = self.split_book();
-        book.all_totals(&view, oracle).0
     }
 
     // ------------------------------------------------------------ auction ops
@@ -683,10 +605,12 @@ impl MakerProtocol {
             return Err(ProtocolError::NotLiquidatable(borrower));
         }
         let cdp = self
+            .vat
             .cdps
             .get_mut(&borrower)
             .ok_or(ProtocolError::UnknownCdp(borrower))?;
         let ilk = self
+            .vat
             .ilks
             .get(&cdp.collateral_token)
             .copied()
@@ -1287,7 +1211,10 @@ mod tests {
         // HF = 2000 * (1/1.5) / 1200 = 1.111 > 1.
         assert!(!position.is_liquidatable());
         assert_eq!(maker.positions(&oracle).len(), 1);
-        assert_eq!(maker.total_collateral_value(&oracle), Wad::from_int(2_000));
+        assert_eq!(
+            maker.book.all_totals(&maker.vat, &oracle).0,
+            Wad::from_int(2_000)
+        );
     }
 
     /// The critical-price index answers discovery without touching CDPs a
@@ -1310,29 +1237,35 @@ mod tests {
                 dai,
             );
         }
-        assert!(maker.cached_liquidatable_cdps(&oracle).is_empty());
-        let baseline = maker.book_stats().revaluations;
-        assert_eq!(maker.book_stats().indexed_accounts, 10);
+        assert!(maker
+            .book
+            .liquidatable_accounts(&maker.vat, &oracle)
+            .is_empty());
+        let baseline = maker.book.stats().revaluations;
+        assert_eq!(maker.book.stats().indexed_accounts, 10);
 
         // A move that crosses nobody re-values nobody.
         oracle.set_price(5, Token::ETH, Wad::from_int(199));
-        assert!(maker.cached_liquidatable_cdps(&oracle).is_empty());
-        assert_eq!(maker.book_stats().revaluations, baseline);
+        assert!(maker
+            .book
+            .liquidatable_accounts(&maker.vat, &oracle)
+            .is_empty());
+        assert_eq!(maker.book.stats().revaluations, baseline);
 
         // A deep move flags exactly what the scratch scan flags and
         // re-values exactly the flipped CDPs.
         oracle.set_price(6, Token::ETH, Wad::from_int(180));
-        let cached = maker.cached_liquidatable_cdps(&oracle);
+        let cached = maker.book.liquidatable_accounts(&maker.vat, &oracle);
         let scratch = maker.liquidatable_cdps(&oracle);
         assert_eq!(cached, scratch);
         assert!(!cached.is_empty() && cached.len() < 10);
         assert_eq!(
-            maker.book_stats().revaluations,
+            maker.book.stats().revaluations,
             baseline + cached.len() as u64
         );
 
         // The cached book still matches the from-scratch rebuild exactly.
-        let cached_book = maker.cached_book(&oracle);
+        let cached_book = maker.book.book_positions(&maker.vat, &oracle);
         assert_eq!(cached_book, maker.positions(&oracle));
         // Totals parity with the legacy fold.
         let fold = maker
@@ -1340,16 +1273,16 @@ mod tests {
             .iter()
             .map(|p| p.total_collateral_value())
             .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-        assert_eq!(maker.book_totals(&oracle).collateral_usd, fold);
-        assert_eq!(maker.total_collateral_value(&oracle), fold);
+        assert_eq!(maker.book.totals(&maker.vat, &oracle).collateral_usd, fold);
+        assert_eq!(maker.book.all_totals(&maker.vat, &oracle).0, fold);
 
         // Biting a flagged CDP drops it from the index; the rest stay.
         let bitten = cached[0];
         maker.bite(&mut events, &oracle, 10, bitten).unwrap();
-        let after_bite = maker.cached_liquidatable_cdps(&oracle);
+        let after_bite = maker.book.liquidatable_accounts(&maker.vat, &oracle);
         assert!(!after_bite.contains(&bitten));
         assert_eq!(after_bite.len(), cached.len() - 1);
-        assert_eq!(maker.book_stats().indexed_accounts, 9);
+        assert_eq!(maker.book.stats().indexed_accounts, 9);
     }
 
     #[test]

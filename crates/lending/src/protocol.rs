@@ -10,8 +10,15 @@
 //! * market listing, accrual and user operations (deposit / borrow / repay)
 //!   share one vocabulary — a Maker CDP "deposit" locks collateral, its
 //!   "borrow" draws DAI;
+//! * every protocol owns one incremental [`PositionBook`] and serves it
+//!   through a single accessor, [`LendingProtocol::book`], which pairs the
+//!   book with the protocol's [`BookSource`] view — so each book query
+//!   (full book, totals, at-risk walk, snapshot) is written once, in the
+//!   book, and reached the same way on every platform;
 //! * liquidation-opportunity discovery is uniform
-//!   ([`LendingProtocol::liquidatable`] returns [`Opportunity`] snapshots);
+//!   ([`LendingProtocol::liquidatable_into`] fills [`Opportunity`]
+//!   snapshots) and is the one per-mechanism book read: Maker re-checks
+//!   each candidate against its reference bite condition;
 //! * mechanism-specific execution goes through one entry point,
 //!   [`LendingProtocol::execute_liquidation`], driven by a
 //!   [`LiquidationRequest`] — a fixed-spread repayment, or the
@@ -30,10 +37,11 @@ use defi_core::position::Position;
 use defi_oracle::PriceOracle;
 use defi_types::{Address, BlockNumber, Platform, Token, Wad};
 
-use crate::book::{BookStats, BookTotals};
+use crate::book::{BookSource, BookStats, PositionBook};
 use crate::error::ProtocolError;
 use crate::fixed_spread::{FixedSpreadProtocol, LiquidationReceipt};
 use crate::maker::{AuctionOutcome, MakerProtocol};
+use crate::snapshot::BookSnapshot;
 
 /// Which liquidation mechanism a protocol runs (§3.2's systematization).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +53,7 @@ pub enum MechanismKind {
     Auction,
 }
 
-/// A liquidatable position discovered by [`LendingProtocol::liquidatable`].
+/// A liquidatable position discovered by [`LendingProtocol::liquidatable_into`].
 #[derive(Debug, Clone)]
 pub struct Opportunity {
     /// Platform the position lives on.
@@ -220,69 +228,15 @@ pub trait LendingProtocol {
     /// Valuation snapshot of one account, if it has state.
     fn position(&self, oracle: &PriceOracle, account: Address) -> Option<Position>;
 
-    /// The protocol's observable position book — what volume sampling and
-    /// the end-of-run snapshot iterate. Fixed-spread pools report accounts
-    /// that actually borrow; Maker reports every open CDP.
-    ///
-    /// Takes `&mut self` so implementations can serve it from an incremental
-    /// cache (see [`crate::book::PositionBook`]); results are identical to a
-    /// from-scratch rebuild at current prices.
-    fn book_positions(&mut self, oracle: &PriceOracle) -> Vec<Position>;
-
-    /// Visit every observable book position in the same deterministic order
-    /// as [`book_positions`](LendingProtocol::book_positions) without
-    /// materialising a snapshot vector. Cache-backed implementations override
-    /// this to avoid the per-tick clone in the engine's hot loop.
-    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
-        for position in self.book_positions(oracle) {
-            visit(&position);
-        }
-    }
-
-    /// Aggregate totals over the observable book (the volume-sampling pass).
-    /// The default computes them from
-    /// [`book_positions`](LendingProtocol::book_positions); cache-backed
-    /// implementations serve running sums instead.
-    fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
-        let positions = self.book_positions(oracle);
-        let collateral_usd = positions
-            .iter()
-            .map(|p| p.total_collateral_value())
-            .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-        let debt_usd = positions
-            .iter()
-            .map(|p| p.total_debt_value())
-            .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-        let dai_eth_collateral_usd = positions
-            .iter()
-            .filter(|p| p.has_debt_in(Token::DAI))
-            .map(|p| {
-                p.collateral_value_in(Token::ETH)
-                    .saturating_add(p.collateral_value_in(Token::WETH))
-            })
-            .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-        BookTotals {
-            collateral_usd,
-            debt_usd,
-            dai_eth_collateral_usd,
-            open_positions: positions.len() as u32,
-        }
-    }
-
-    /// Visit the *at-risk* slice of the observable book — every position
-    /// whose health factor is below `rescue` (including liquidatable ones)
-    /// or above `releverage` — in the same deterministic order as
-    /// [`for_each_position`](LendingProtocol::for_each_position), with every
-    /// visited valuation exact at current prices.
-    ///
-    /// The default is the exact path: walk the full book and filter by
-    /// health factor. Band-indexed implementations (fixed-spread pools)
-    /// override it to skip far-from-threshold accounts whose certified
-    /// envelope holds — the engine's borrower-management pass consumes this
-    /// surface every tick.
+    /// The protocol's position book and the read-only view of protocol state
+    /// it re-values accounts through — the one surface every book query goes
+    /// through ([`PositionBook`] for the queries; the view is the protocol's
+    /// [`BookSource`]). Fixed-spread pools report accounts that actually
+    /// borrow; Maker reports every open CDP. Results are identical to a
+    /// from-scratch rebuild at current prices
+    /// ([`reference_positions`](LendingProtocol::reference_positions)).
     ///
     /// ```
-    /// use defi_lending::book::{RELEVERAGE_BAND_HF, RESCUE_BAND_HF};
     /// use defi_lending::{compound, LendingProtocol};
     /// use defi_oracle::{OracleConfig, PriceOracle};
     /// use defi_types::{Token, Wad};
@@ -290,74 +244,33 @@ pub trait LendingProtocol {
     /// let mut protocol: Box<dyn LendingProtocol> = Box::new(compound());
     /// let mut oracle = PriceOracle::new(OracleConfig::every_update());
     /// oracle.set_price(0, Token::ETH, Wad::from_int(3_500));
+    /// let (book, source) = protocol.book();
     /// let mut at_risk = 0;
-    /// protocol.for_each_at_risk(
-    ///     &oracle,
-    ///     Wad::from_f64(RESCUE_BAND_HF),
-    ///     Wad::from_f64(RELEVERAGE_BAND_HF),
-    ///     &mut |_position| at_risk += 1,
-    /// );
+    /// book.for_each_at_risk(source, &oracle, &mut |_position| at_risk += 1);
     /// assert_eq!(at_risk, 0, "an empty pool has nothing at risk");
+    /// assert_eq!(book.totals(source, &oracle).open_positions, 0);
     /// ```
-    fn for_each_at_risk(
-        &mut self,
-        oracle: &PriceOracle,
-        rescue: Wad,
-        releverage: Wad,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        self.for_each_position(oracle, &mut |position| {
-            if let Some(hf) = position.health_factor() {
-                if hf < rescue || hf > releverage {
-                    visit(position);
-                }
-            }
-        });
+    fn book(&mut self) -> (&mut PositionBook, &dyn BookSource);
+
+    /// Freeze the observable book into an immutable, index-carrying
+    /// [`BookSnapshot`] for concurrent readers.
+    fn book_snapshot(&mut self, oracle: &PriceOracle) -> BookSnapshot {
+        let (book, source) = self.book();
+        book.snapshot(source, oracle)
     }
 
-    /// Freeze the observable book into an immutable
-    /// [`BookSnapshot`](crate::snapshot::BookSnapshot) for concurrent
-    /// readers. The default materialises it from
-    /// [`book_positions`](LendingProtocol::book_positions) (every entry then
-    /// rides the snapshot's exact what-if path); cache-backed implementations
-    /// override this to carry their critical-price and envelope indexes into
-    /// the snapshot.
-    fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot {
-        let (rescue, releverage) = crate::book::PositionBook::new().band_thresholds();
-        crate::snapshot::BookSnapshot::from_positions(
-            self.book_positions(oracle),
-            oracle,
-            rescue,
-            releverage,
-        )
-    }
-
-    /// Set how many worker threads the protocol's incremental book may fan
-    /// re-valuation across within a tick (clamped to the shard count).
-    /// Results are byte-identical for every worker count — the shard
-    /// partition is a pure function of the account address and shards merge
-    /// in fixed index order — so this is purely a throughput knob. The
-    /// default is a no-op for cache-less implementations that have no book
-    /// to parallelise.
-    fn set_book_workers(&mut self, _workers: usize) {}
-
-    /// Cache-maintenance and per-phase timing counters of the protocol's
-    /// incremental book ([`BookStats`]). Counters are monotone within a run,
-    /// so the difference between two reads attributes wall-clock
-    /// (flush / at-risk freshen / visit / envelope re-derive) and cache-path
-    /// traffic (term reprices, light refreshes, full revaluations) to the
-    /// interval between them. The default returns zeroed stats for
-    /// cache-less implementations.
-    fn book_stats(&self) -> BookStats {
-        BookStats::default()
+    /// Cache-maintenance and per-phase timing counters of the book
+    /// ([`BookStats`]). Counters are monotone within a run, so the difference
+    /// between two reads attributes wall-clock and cache-path traffic to the
+    /// interval between them.
+    fn book_stats(&mut self) -> BookStats {
+        self.book().0.stats()
     }
 
     /// The observable book rebuilt from scratch, bypassing every cache —
-    /// the cache-less shadow the differential harness
-    /// (`tests/band_differential.rs`) compares the banded/cached surfaces
-    /// against every tick. Must return exactly what
-    /// [`book_positions`](LendingProtocol::book_positions) returns, computed
-    /// the slow way.
+    /// the shadow the differential harness (`tests/band_differential.rs`)
+    /// compares the book against every tick. Must return exactly what
+    /// [`PositionBook::book_positions`] returns, computed the slow way.
     fn reference_positions(&self, oracle: &PriceOracle) -> Vec<Position>;
 
     /// Risk parameters of one listed market (liquidation threshold/spread
@@ -368,23 +281,12 @@ pub trait LendingProtocol {
         None
     }
 
-    /// Liquidation opportunities at current oracle prices, in deterministic
-    /// order.
-    ///
-    /// Takes `&mut self` so implementations can answer from their
-    /// critical-price index / incrementally maintained liquidatable set
-    /// instead of filtering a freshly built book.
-    fn liquidatable(&mut self, oracle: &PriceOracle) -> Vec<Opportunity>;
-
-    /// Like [`liquidatable`](LendingProtocol::liquidatable), but filling a
-    /// caller-owned buffer so a hot discovery loop can reuse one allocation
-    /// across ticks (the engine holds the scratch vector and `mem::take`s it
-    /// around each call). `out` is cleared first; the results and their order
-    /// are identical to `liquidatable`.
-    fn liquidatable_into(&mut self, oracle: &PriceOracle, out: &mut Vec<Opportunity>) {
-        out.clear();
-        out.append(&mut self.liquidatable(oracle));
-    }
+    /// Liquidation opportunities at current oracle prices, in address order,
+    /// answered from the book's critical-price index and live set. `out` is
+    /// cleared first and is caller-owned, so a hot discovery loop reuses one
+    /// allocation across ticks (the engine holds the scratch vector and
+    /// `mem::take`s it around each call).
+    fn liquidatable_into(&mut self, oracle: &PriceOracle, out: &mut Vec<Opportunity>);
 
     /// Execute one mechanism-specific liquidation step. Implementations must
     /// reject request variants that do not belong to their mechanism with
@@ -494,22 +396,8 @@ impl LendingProtocol for FixedSpreadProtocol {
         FixedSpreadProtocol::position(self, oracle, account)
     }
 
-    fn book_positions(&mut self, oracle: &PriceOracle) -> Vec<Position> {
-        self.cached_book(oracle)
-    }
-
-    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
-        FixedSpreadProtocol::for_each_book_position(self, oracle, visit);
-    }
-
-    fn for_each_at_risk(
-        &mut self,
-        oracle: &PriceOracle,
-        rescue: Wad,
-        releverage: Wad,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        FixedSpreadProtocol::for_each_at_risk(self, oracle, rescue, releverage, visit);
+    fn book(&mut self) -> (&mut PositionBook, &dyn BookSource) {
+        (&mut self.book, &self.state)
     }
 
     fn reference_positions(&self, oracle: &PriceOracle) -> Vec<Position> {
@@ -524,33 +412,11 @@ impl LendingProtocol for FixedSpreadProtocol {
         self.market_params(token)
     }
 
-    fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
-        FixedSpreadProtocol::book_totals(self, oracle)
-    }
-
-    fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot {
-        FixedSpreadProtocol::book_snapshot(self, oracle)
-    }
-
-    fn set_book_workers(&mut self, workers: usize) {
-        FixedSpreadProtocol::set_book_workers(self, workers);
-    }
-
-    fn book_stats(&self) -> BookStats {
-        FixedSpreadProtocol::book_stats(self)
-    }
-
-    fn liquidatable(&mut self, oracle: &PriceOracle) -> Vec<Opportunity> {
-        let mut out = Vec::new();
-        LendingProtocol::liquidatable_into(self, oracle, &mut out);
-        out
-    }
-
     fn liquidatable_into(&mut self, oracle: &PriceOracle, out: &mut Vec<Opportunity>) {
         out.clear();
         let platform = self.config().platform;
-        for borrower in self.cached_liquidatable_accounts(oracle) {
-            if let Some(position) = self.cached_position(borrower) {
+        for borrower in self.book.liquidatable_accounts(&self.state, oracle) {
+            if let Some(position) = self.book.cached_position(borrower) {
                 out.push(Opportunity {
                     platform,
                     borrower,
@@ -678,12 +544,8 @@ impl LendingProtocol for MakerProtocol {
         MakerProtocol::position(self, oracle, account)
     }
 
-    fn book_positions(&mut self, oracle: &PriceOracle) -> Vec<Position> {
-        self.cached_book(oracle)
-    }
-
-    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
-        MakerProtocol::for_each_book_position(self, oracle, visit);
+    fn book(&mut self) -> (&mut PositionBook, &dyn BookSource) {
+        (&mut self.book, &self.vat)
     }
 
     fn reference_positions(&self, oracle: &PriceOracle) -> Vec<Position> {
@@ -691,32 +553,21 @@ impl LendingProtocol for MakerProtocol {
         MakerProtocol::positions(self, oracle)
     }
 
-    fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
-        MakerProtocol::book_totals(self, oracle)
-    }
-
-    fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot {
-        MakerProtocol::book_snapshot(self, oracle)
-    }
-
-    fn set_book_workers(&mut self, workers: usize) {
-        MakerProtocol::set_book_workers(self, workers);
-    }
-
-    fn book_stats(&self) -> BookStats {
-        MakerProtocol::book_stats(self)
-    }
-
-    fn liquidatable(&mut self, oracle: &PriceOracle) -> Vec<Opportunity> {
-        let mut out = Vec::new();
-        LendingProtocol::liquidatable_into(self, oracle, &mut out);
-        out
-    }
-
     fn liquidatable_into(&mut self, oracle: &PriceOracle, out: &mut Vec<Opportunity>) {
         out.clear();
-        for owner in self.cached_liquidatable_cdps(oracle) {
-            if let Some(position) = self.cached_position(owner) {
+        for owner in self.book.liquidatable_accounts(&self.vat, oracle) {
+            // Belt and braces: re-check each candidate of the critical-price
+            // index through the reference bite condition, so an index bug can
+            // only ever hide an account, never invent one. The two agree
+            // everywhere except when `collateral × price` overflows u128
+            // fixed-point — a collateral valuation beyond ~3.4·10²⁰ USD, five
+            // orders of magnitude past the 10¹⁵-USD sanity ceiling the
+            // invariant observer already rejects as saturated arithmetic — so
+            // within the suite's representable domain the index is exact.
+            if !self.is_liquidatable(oracle, owner) {
+                continue;
+            }
+            if let Some(position) = self.book.cached_position(owner) {
                 out.push(Opportunity {
                     platform: Platform::MakerDao,
                     borrower: owner,
@@ -821,6 +672,12 @@ mod tests {
         oracle
     }
 
+    fn discover(protocol: &mut dyn LendingProtocol, oracle: &PriceOracle) -> Vec<Opportunity> {
+        let mut out = Vec::new();
+        protocol.liquidatable_into(oracle, &mut out);
+        out
+    }
+
     /// Drive a fixed-spread pool purely through the trait object.
     #[test]
     fn fixed_spread_through_dyn_trait() {
@@ -865,10 +722,10 @@ mod tests {
                 Wad::from_int(7_800),
             )
             .unwrap();
-        assert!(protocol.liquidatable(&oracle).is_empty());
+        assert!(discover(protocol.as_mut(), &oracle).is_empty());
 
         oracle.set_price(2, Token::ETH, Wad::from_int(3_000));
-        let opportunities = protocol.liquidatable(&oracle);
+        let opportunities = discover(protocol.as_mut(), &oracle);
         assert_eq!(opportunities.len(), 1);
         assert_eq!(opportunities[0].borrower, borrower);
         assert_eq!(opportunities[0].mechanism, MechanismKind::FixedSpread);
@@ -951,7 +808,7 @@ mod tests {
             .is_err());
 
         oracle.set_price(2, Token::ETH, Wad::from_int(2_500));
-        let opportunities = protocol.liquidatable(&oracle);
+        let opportunities = discover(protocol.as_mut(), &oracle);
         assert_eq!(opportunities.len(), 1);
         assert_eq!(opportunities[0].mechanism, MechanismKind::Auction);
 

@@ -163,7 +163,7 @@ impl SimulationEngine {
         // Fan each protocol's book re-valuation across the configured worker
         // count (byte-identical results for every value — a throughput knob).
         for protocol in protocols.values_mut() {
-            protocol.set_book_workers(config.book_workers);
+            protocol.book().0.set_workers(config.book_workers);
         }
         let rng = StdRng::seed_from_u64(config.seed);
         let mut chain_config = ChainConfig {
@@ -654,9 +654,9 @@ impl SimulationEngine {
             ) else {
                 return;
             };
-            let rescue_band = Wad::from_f64(defi_lending::RESCUE_BAND_HF);
-            let releverage_band = Wad::from_f64(defi_lending::RELEVERAGE_BAND_HF);
-            protocol.for_each_at_risk(oracle, rescue_band, releverage_band, &mut |position| {
+            let (book, source) = protocol.book();
+            let (rescue_band, releverage_band) = book.band_thresholds();
+            book.for_each_at_risk(source, oracle, &mut |position| {
                 let Some(hf) = position.health_factor() else {
                     return;
                 };
@@ -1882,7 +1882,8 @@ impl SimulationEngine {
             };
             // Running totals maintained by each protocol's incremental book —
             // sampling no longer materialises the position vector.
-            let totals = protocol.book_totals(oracle);
+            let (book, source) = protocol.book();
+            let totals = book.totals(source, oracle);
             self.volume_samples.push(VolumeSample {
                 block,
                 platform: *platform,

@@ -155,7 +155,8 @@ impl Session {
             let Some(oracle) = self.engine.oracles.get(platform) else {
                 continue;
             };
-            books.insert(*platform, protocol.book_positions(oracle));
+            let (book, source) = protocol.book();
+            books.insert(*platform, book.book_positions(source, oracle));
         }
         books
     }
@@ -252,13 +253,7 @@ impl Session {
             self.start(observer)?;
         }
         let snapshot_block = self.engine.chain.current_block();
-        let mut final_positions = BTreeMap::new();
-        for (platform, protocol) in self.engine.protocols.iter_mut() {
-            let Some(oracle) = self.engine.oracles.get(platform) else {
-                continue;
-            };
-            final_positions.insert(*platform, protocol.book_positions(oracle));
-        }
+        let final_positions = self.snapshot_positions();
         observer.on_run_end(&RunEnd {
             config: &self.engine.config,
             snapshot_block,

@@ -65,6 +65,16 @@ fn releverage() -> Wad {
 // every platform, every catalog entry.
 // ---------------------------------------------------------------------------
 
+/// Liquidation discovery through the trait, as `(borrower, position)` pairs.
+fn discover(protocol: &mut dyn LendingProtocol, oracle: &PriceOracle) -> Vec<(Address, Position)> {
+    let mut opportunities = Vec::new();
+    protocol.liquidatable_into(oracle, &mut opportunities);
+    opportunities
+        .into_iter()
+        .map(|o| (o.borrower, o.position))
+        .collect()
+}
+
 /// Compare one platform's banded surfaces against the cache-less shadow.
 /// `full` additionally compares the whole cached book (the expensive check,
 /// run periodically).
@@ -84,11 +94,7 @@ fn audit_platform(
         .filter(|p| p.is_liquidatable())
         .map(|p| (p.owner, p.clone()))
         .collect();
-    let banded: Vec<(Address, Position)> = protocol
-        .liquidatable(oracle)
-        .into_iter()
-        .map(|o| (o.borrower, o.position))
-        .collect();
+    let banded = discover(protocol, oracle);
     assert_eq!(
         banded, exhaustive,
         "{scenario} tick {tick}: {platform} banded discovery diverged from the shadow scan"
@@ -104,7 +110,8 @@ fn audit_platform(
         .map(|p| (p.owner, p.clone()))
         .collect();
     let mut seen_at_risk: Vec<(Address, Position)> = Vec::new();
-    protocol.for_each_at_risk(oracle, rescue(), releverage(), &mut |position| {
+    let (book, source) = protocol.book();
+    book.for_each_at_risk(source, oracle, &mut |position| {
         seen_at_risk.push((position.owner, position.clone()));
     });
     assert_eq!(
@@ -113,7 +120,7 @@ fn audit_platform(
     );
 
     if full {
-        let cached = protocol.book_positions(oracle);
+        let cached = book.book_positions(source, oracle);
         assert_eq!(
             cached, shadow,
             "{scenario} tick {tick}: {platform} cached book diverged from the shadow rebuild"
@@ -217,14 +224,12 @@ fn worker_counts_are_byte_identical_across_every_catalog_scenario() {
             let full = tick.is_multiple_of(5);
             for platform in serial.platforms() {
                 let observe = |protocol: &mut dyn LendingProtocol, oracle: &PriceOracle| {
+                    let discovered = discover(protocol, oracle);
+                    let (book, source) = protocol.book();
                     (
-                        protocol
-                            .liquidatable(oracle)
-                            .into_iter()
-                            .map(|o| (o.borrower, o.position))
-                            .collect::<Vec<_>>(),
-                        protocol.book_totals(oracle),
-                        full.then(|| protocol.book_positions(oracle)),
+                        discovered,
+                        book.totals(source, oracle),
+                        full.then(|| book.book_positions(source, oracle)),
                     )
                 };
                 let lhs = serial
@@ -497,7 +502,7 @@ fn toy_differential_with(
         .cloned()
         .collect();
     let mut seen: Vec<Position> = Vec::new();
-    book.for_each_at_risk(&view, oracle, rescue(), releverage(), &mut |position| {
+    book.for_each_at_risk(&view, oracle, &mut |position| {
         seen.push(position.clone());
     });
     if seen != expected_at_risk {
@@ -975,7 +980,8 @@ proptest! {
                 .filter(|p| p.is_liquidatable())
                 .map(|p| p.owner)
                 .collect();
-            let banded = protocol.cached_liquidatable_accounts(&oracle);
+            let (book, source) = protocol.book();
+            let banded = book.liquidatable_accounts(source, &oracle);
             prop_assert_eq!(&banded, &exhaustive);
 
             let expected_at_risk: Vec<Address> = shadow
@@ -987,7 +993,7 @@ proptest! {
                 .map(|p| p.owner)
                 .collect();
             let mut seen: Vec<Address> = Vec::new();
-            protocol.for_each_at_risk(&oracle, rescue(), releverage(), &mut |p| {
+            book.for_each_at_risk(source, &oracle, &mut |p| {
                 seen.push(p.owner);
             });
             prop_assert_eq!(&seen, &expected_at_risk);
@@ -995,7 +1001,7 @@ proptest! {
             // Periodically also require the full cached book to be
             // byte-identical (the engine's volume-sample / snapshot cadence).
             if step % 4 == 3 {
-                prop_assert_eq!(protocol.cached_book(&oracle), shadow);
+                prop_assert_eq!(book.book_positions(source, &oracle), shadow);
             }
         }
     }

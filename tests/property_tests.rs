@@ -365,6 +365,21 @@ mod incremental_book {
         Address::from_seed(7_000 + (i % 6) as u64)
     }
 
+    /// The observable book served by the protocol's incremental cache.
+    fn cached_book(protocol: &mut dyn LendingProtocol, oracle: &PriceOracle) -> Vec<Position> {
+        let (book, source) = protocol.book();
+        book.book_positions(source, oracle)
+    }
+
+    /// Liquidatable accounts straight off the book's indexes.
+    fn cached_liquidatable(
+        protocol: &mut dyn LendingProtocol,
+        oracle: &PriceOracle,
+    ) -> Vec<Address> {
+        let (book, source) = protocol.book();
+        book.liquidatable_accounts(source, oracle)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -462,9 +477,10 @@ mod incremental_book {
                     .iter()
                     .map(|p| p.total_collateral_value())
                     .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-                prop_assert_eq!(protocol.cached_book(&oracle), scratch_book);
-                prop_assert_eq!(protocol.cached_liquidatable_accounts(&oracle), scratch_liquidatable);
-                prop_assert_eq!(protocol.total_collateral_value(&oracle), scratch_total);
+                prop_assert_eq!(cached_book(&mut protocol, &oracle), scratch_book);
+                prop_assert_eq!(cached_liquidatable(&mut protocol, &oracle), scratch_liquidatable);
+                let (book, source) = protocol.book();
+                prop_assert_eq!(book.all_totals(source, &oracle).0, scratch_total);
             }
         }
 
@@ -531,8 +547,8 @@ mod incremental_book {
                     .collect();
                 let scratch_bite = maker.liquidatable_cdps(&oracle);
                 prop_assert_eq!(&scratch_bite, &hf_below_one);
-                prop_assert_eq!(maker.cached_liquidatable_cdps(&oracle), scratch_bite);
-                prop_assert_eq!(maker.cached_book(&oracle), maker.positions(&oracle));
+                prop_assert_eq!(cached_liquidatable(&mut maker, &oracle), scratch_bite);
+                prop_assert_eq!(cached_book(&mut maker, &oracle), maker.positions(&oracle));
             }
         }
 
@@ -592,9 +608,9 @@ mod incremental_book {
                     .into_iter()
                     .filter(|p| !p.total_debt_value().is_zero())
                     .collect();
-                prop_assert_eq!(protocol.cached_book(&oracle), scratch_book);
+                prop_assert_eq!(cached_book(&mut protocol, &oracle), scratch_book);
                 prop_assert_eq!(
-                    protocol.cached_liquidatable_accounts(&oracle),
+                    cached_liquidatable(&mut protocol, &oracle),
                     protocol.liquidatable_accounts(&oracle)
                 );
             }
@@ -603,7 +619,7 @@ mod incremental_book {
             // 0.05 % wobble every surviving envelope absorbs — it must ride
             // the term path, byte-identically.
             oracle.set_price(block + 1, Token::ETH, Wad::from_int(3_000));
-            let _ = protocol.cached_book(&oracle);
+            let _ = cached_book(&mut protocol, &oracle);
             let before = protocol.book_stats().term_reprices;
             oracle.set_price(block + 2, Token::ETH, Wad::from_f64(3_001.5));
             let scratch_book: Vec<_> = protocol
@@ -612,7 +628,7 @@ mod incremental_book {
                 .filter(|p| !p.total_debt_value().is_zero())
                 .collect();
             prop_assert!(!scratch_book.is_empty());
-            prop_assert_eq!(protocol.cached_book(&oracle), scratch_book);
+            prop_assert_eq!(cached_book(&mut protocol, &oracle), scratch_book);
             prop_assert!(protocol.book_stats().term_reprices > before);
         }
 
@@ -641,7 +657,7 @@ mod incremental_book {
                     .unwrap();
             }
             // Prime the book so every CDP is valued and non-dirty.
-            let _ = maker.cached_book(&oracle);
+            let _ = cached_book(&mut maker, &oracle);
 
             let mut block = 1u64;
             for tweak in moves {
@@ -649,8 +665,8 @@ mod incremental_book {
                 let factor = 0.4 + (tweak % 1_200) as f64 / 1_000.0;
                 oracle.set_price(block, Token::ETH, Wad::from_f64(3_000.0 * factor));
                 let before = maker.book_stats().term_reprices;
-                prop_assert_eq!(maker.cached_book(&oracle), maker.positions(&oracle));
-                prop_assert_eq!(maker.cached_liquidatable_cdps(&oracle), maker.liquidatable_cdps(&oracle));
+                prop_assert_eq!(cached_book(&mut maker, &oracle), maker.positions(&oracle));
+                prop_assert_eq!(cached_liquidatable(&mut maker, &oracle), maker.liquidatable_cdps(&oracle));
                 prop_assert!(maker.book_stats().term_reprices > before);
             }
         }
@@ -700,10 +716,10 @@ mod incremental_book {
             )
             .unwrap();
 
-        // Volume totals from the default (rebuild) path and the cached path
-        // must agree.
-        let positions = protocol.book_positions(&oracle);
-        let totals = protocol.book_totals(&oracle);
+        // The book's running totals equal the fold over its positions.
+        let (book, source) = protocol.book();
+        let positions = book.book_positions(source, &oracle);
+        let totals = book.totals(source, &oracle);
         let fold = positions
             .iter()
             .map(|p| p.total_collateral_value())
@@ -711,13 +727,9 @@ mod incremental_book {
         assert_eq!(totals.collateral_usd, fold);
         assert_eq!(totals.open_positions as usize, positions.len());
 
-        // for_each_position visits the same book in the same order.
-        let mut walked = Vec::new();
-        protocol.for_each_position(&oracle, &mut |p| walked.push(p.clone()));
-        assert_eq!(walked, positions);
-
         oracle.set_price(2, Token::ETH, Wad::from_int(2_000));
-        let opportunities = protocol.liquidatable(&oracle);
+        let mut opportunities = Vec::new();
+        protocol.liquidatable_into(&oracle, &mut opportunities);
         assert_eq!(opportunities.len(), 1);
         assert_eq!(opportunities[0].borrower, borrower);
         // The opportunity snapshot is the fresh valuation.

@@ -12,12 +12,19 @@
 use defi_liquidations_suite::chain::{ChainEvent, Ledger};
 use defi_liquidations_suite::lending::{
     aave_v1, aave_v2, compound, dydx, maker_protocol, LendingProtocol, LiquidationExecution,
-    LiquidationRequest, MechanismKind, ProtocolError,
+    LiquidationRequest, MechanismKind, Opportunity, ProtocolError,
 };
 use defi_liquidations_suite::oracle::{OracleConfig, PriceOracle};
 use defi_liquidations_suite::prelude::*;
 use defi_liquidations_suite::sim::{EngineBuilder, SimConfig};
 use defi_liquidations_suite::types::{Platform, Token};
+
+/// Liquidation discovery through the trait into a fresh buffer.
+fn discover(protocol: &mut dyn LendingProtocol, oracle: &PriceOracle) -> Vec<Opportunity> {
+    let mut opportunities = Vec::new();
+    protocol.liquidatable_into(oracle, &mut opportunities);
+    opportunities
+}
 
 fn test_oracle() -> PriceOracle {
     let mut oracle = PriceOracle::new(OracleConfig::every_update());
@@ -78,13 +85,13 @@ fn drive_fixed_spread(mut protocol: Box<dyn LendingProtocol>) {
         )
         .unwrap();
     assert!(
-        protocol.liquidatable(&oracle).is_empty(),
+        discover(protocol.as_mut(), &oracle).is_empty(),
         "{platform}: freshly opened position must be healthy"
     );
 
     // A 15% ETH decline tips the position over.
     oracle.set_price(2, Token::ETH, Wad::from_f64(3_500.0 * 0.85));
-    let opportunities = protocol.liquidatable(&oracle);
+    let opportunities = discover(protocol.as_mut(), &oracle);
     assert_eq!(
         opportunities.len(),
         1,
@@ -239,11 +246,11 @@ fn makerdao_conforms_to_the_unified_protocol_api() {
             borrow,
         )
         .unwrap();
-    assert!(protocol.liquidatable(&oracle).is_empty());
+    assert!(discover(protocol.as_mut(), &oracle).is_empty());
 
     // The same 15% decline trips the 150% ratio.
     oracle.set_price(2, Token::ETH, Wad::from_f64(3_500.0 * 0.85));
-    let opportunities = protocol.liquidatable(&oracle);
+    let opportunities = discover(protocol.as_mut(), &oracle);
     assert_eq!(opportunities.len(), 1);
     assert_eq!(opportunities[0].mechanism, MechanismKind::Auction);
 
@@ -408,7 +415,7 @@ fn drive_fixed_spread_adversarial(mut protocol: Box<dyn LendingProtocol>) {
     // platform's close factor (even dYdX's 100%): typed error, and the
     // position is untouched.
     oracle.set_price(3, Token::ETH, Wad::from_f64(3_500.0 * 0.80));
-    assert_eq!(protocol.liquidatable(&oracle).len(), 1);
+    assert_eq!(discover(protocol.as_mut(), &oracle).len(), 1);
     let above_cap = LiquidationRequest::FixedSpread {
         liquidator,
         borrower,
@@ -664,13 +671,15 @@ fn engine_builder_runs_all_platforms_through_the_registry() {
 }
 
 /// The PR 5 discovery surfaces every implementation must satisfy:
-/// `reference_positions` is the cache-less shadow of `book_positions`, the
-/// banded `for_each_at_risk` equals the exact health-factor filter, and
-/// fixed-spread markets expose their per-market risk parameters.
+/// `reference_positions` is the cache-less shadow of the book's
+/// `book_positions`, the banded `for_each_at_risk` equals the exact
+/// health-factor filter, and fixed-spread markets expose their per-market
+/// risk parameters.
 fn check_discovery_surfaces(protocol: &mut dyn LendingProtocol, oracle: &PriceOracle) {
     let platform = protocol.platform();
     let shadow = protocol.reference_positions(oracle);
-    let cached = protocol.book_positions(oracle);
+    let (book, source) = protocol.book();
+    let cached = book.book_positions(source, oracle);
     assert_eq!(
         cached, shadow,
         "{platform}: book_positions must equal the from-scratch reference"
@@ -687,7 +696,7 @@ fn check_discovery_surfaces(protocol: &mut dyn LendingProtocol, oracle: &PriceOr
         .map(|p| p.owner)
         .collect();
     let mut seen: Vec<Address> = Vec::new();
-    protocol.for_each_at_risk(oracle, rescue, releverage, &mut |p| seen.push(p.owner));
+    book.for_each_at_risk(source, oracle, &mut |p| seen.push(p.owner));
     assert_eq!(
         seen, expected,
         "{platform}: at-risk iteration must equal the exact HF filter"
@@ -778,6 +787,6 @@ fn discovery_surfaces_conform_across_mechanisms() {
     oracle.set_price(2, Token::ETH, Wad::from_int(2_600));
     check_discovery_surfaces(fixed.as_mut(), &oracle);
     check_discovery_surfaces(maker.as_mut(), &oracle);
-    assert!(!fixed.liquidatable(&oracle).is_empty());
-    assert!(!maker.liquidatable(&oracle).is_empty());
+    assert!(!discover(fixed.as_mut(), &oracle).is_empty());
+    assert!(!discover(maker.as_mut(), &oracle).is_empty());
 }
